@@ -24,10 +24,10 @@ MicroOptions Base(double omega) {
 
 void Sweep(double omega) {
   std::printf("\nthroughput (tuples/s) at ω = %.0f\n", omega);
-  TablePrinter table({"cores", "32KB", "1MB", "8MB", "32MB"});
+  TablePrinter table({"omega", "cores", "32KB", "1MB", "8MB", "32MB"});
   table.PrintHeader();
   for (int cores : kCores) {
-    std::vector<std::string> row{FmtInt(cores)};
+    std::vector<std::string> row{Fmt(omega, 0), FmtInt(cores)};
     for (int64_t bytes : {32 * kKiB, 1 * kMiB, 8 * kMiB, 32 * kMiB}) {
       MicroOptions options = Base(omega);
       options.shard_state_bytes = bytes;

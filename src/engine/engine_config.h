@@ -32,9 +32,13 @@ const char* ParadigmName(Paradigm p);
 /// should write `native.data_path.batch_tuples`, not `native.batch_tuples`.
 struct NativeOptions {
   struct DataPathOptions {
-    /// Tuples accumulated per cross-thread micro-batch (the native analog
-    /// of max_batch_tuples; batches are flushed early when the producer
-    /// idles).
+    /// Maximum tuples per cross-thread micro-batch (the native analog of
+    /// max_batch_tuples). Batching is drain-clocked: a producer pushes its
+    /// partial batch toward a worker when the batch reaches this size OR
+    /// the worker's input channel is drained (MpscChannel::drained), and
+    /// flushes every partial batch before it idles. Under load the channel
+    /// stays non-empty and batches fill; at light load tuples leave nearly
+    /// one at a time instead of waiting for a full batch.
     int batch_tuples = 64;
     /// Bounded channel depth, in batches, per worker input (back-pressure).
     int channel_capacity_batches = 64;

@@ -11,14 +11,25 @@
 //  * Push blocks while the ring is full (bounded queue => back-pressure
 //    propagates upstream to the sources, mirroring the simulator's
 //    reservation-based admission).
-//  * Mutex + two condvars rather than a lock-free ring: batches amortize
-//    the lock over EngineConfig::native.batch_tuples tuples, so the lock is
-//    taken ~1/batch_tuples per tuple and contention shows up in the
-//    blocked/wait counters long before the mutex itself is the bottleneck.
+//  * Mutex + two condvars rather than a lock-free ring: under load, batches
+//    fill to EngineConfig::native.data_path.batch_tuples and amortize the
+//    lock over that many tuples; at light load batches are small but the
+//    lock is then uncontended. Contention shows up in the blocked/wait
+//    counters long before the mutex itself is the bottleneck.
 //    The counters (push_blocks / pop_waits) are reported by
 //    bench_native_speed as the channel-contention signal.
+//  * drained() is a lock-free hint for producers that batch: it reads true
+//    while the consumer has nothing queued (the ring is empty) or the
+//    channel was aborted. A producer holding a partial batch pushes it as
+//    soon as its consumer drains instead of waiting for the batch to fill
+//    ("drain-clocked" batching: full batches under load, near-single
+//    tuples when the consumer keeps up). The flag is written under the
+//    mutex (by a push, by the pop that empties the ring and by Abort) and
+//    read relaxed: a stale read only moves a push earlier or later, never
+//    reorders or drops anything.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -56,6 +67,7 @@ class MpscChannel {
     if (aborted_) return false;
     ring_.push_back(batch);
     ++batches_pushed_;
+    drained_.store(false, std::memory_order_relaxed);
     lock.unlock();
     not_empty_.notify_one();
     return true;
@@ -97,6 +109,10 @@ class MpscChannel {
     not_empty_.notify_all();
   }
 
+  /// Lock-free drain hint (see the file comment): true while the ring is
+  /// empty or the channel was aborted. A Kick leaves it unchanged.
+  bool drained() const { return drained_.load(std::memory_order_relaxed); }
+
   /// True once the channel can never yield another batch: drained and
   /// either closed by all producers or aborted. The consumer's shutdown
   /// test (a plain nullptr from Pop may just be a Kick).
@@ -136,6 +152,7 @@ class MpscChannel {
     {
       std::lock_guard<std::mutex> lock(mu_);
       aborted_ = true;
+      drained_.store(true, std::memory_order_relaxed);  // Pushes fail fast.
     }
     not_full_.notify_all();
     not_empty_.notify_all();
@@ -160,6 +177,7 @@ class MpscChannel {
     if (ring_.empty()) return nullptr;
     TupleBatchStorage* batch = ring_.front();
     ring_.pop_front();
+    if (ring_.empty()) drained_.store(true, std::memory_order_relaxed);
     not_full_.notify_one();
     return batch;
   }
@@ -172,6 +190,8 @@ class MpscChannel {
   int producers_open_;
   bool aborted_ = false;
   bool kicked_ = false;
+  /// Written under mu_, read lock-free by drained().
+  std::atomic<bool> drained_{true};
   int64_t push_blocks_ = 0;
   int64_t pop_waits_ = 0;
   int64_t batches_pushed_ = 0;

@@ -371,11 +371,16 @@ bool NativeRuntime::EmitTo(Producer* p, ProducerPort* port, const Tuple& t) {
     stamped.origin = p->origin;
     stamped.arrival_seq = ++p->emit_seq[{port->to_op, t.key}];
   }
-  if (batch->tuples.size() < batch_tuples_) return true;
-  TupleBatchStorage* full = batch;
+  // Drain-clocked flush: push when the batch is full or the destination
+  // has nothing queued (it would otherwise idle while we keep filling).
+  MpscChannel* channel = port->channels[wi];
+  if (batch->tuples.size() < batch_tuples_ && !channel->drained()) {
+    return true;
+  }
+  TupleBatchStorage* ready = batch;
   batch = nullptr;
-  if (!port->channels[wi]->Push(full)) {
-    pool_.Release(full);
+  if (!channel->Push(ready)) {
+    pool_.Release(ready);
     return false;  // Aborted (emergency teardown).
   }
   return true;
@@ -428,6 +433,8 @@ bool NativeRuntime::SourceWaitUntil(Source* s, SimTime target) {
   if (backend_->now() >= target) {
     return !stop_sources_.load(std::memory_order_relaxed);
   }
+  // About to idle: nothing may age in a partial batch while we sleep.
+  FlushPorts(&s->ports);
   {
     std::lock_guard<std::mutex> lock(s->pace_mu);
     s->pace_fired = false;
@@ -465,30 +472,35 @@ void NativeRuntime::SourceLoop(Source* s) {
   const int64_t budget = src.max_tuples;  // 0 = until StopSources.
   const bool trace = src.mode == SourceSpec::Mode::kTrace;
   const double executors = static_cast<double>(spec.num_executors);
+  // Trace mode: the arrival schedule. Gaps accumulate on it rather than on
+  // the wake-up time, so a late wake-up (timer or condvar overshoot) is
+  // absorbed by the arrivals behind it instead of lowering the rate.
+  SimTime due = backend_->now();
   while (budget == 0 || s->generated < budget) {
     if (stop_sources_.load(std::memory_order_relaxed)) break;
     if (elastic_) PollProducer(s);
     if (trace) {
       // Mirror the simulator spout's draw order exactly — gap draw, then
       // factory draw, from the same rng — so the tuple stream is
-      // bit-identical to a sim run at the same seed.
-      const double rate = src.rate_fn(backend_->now()) / executors;
+      // bit-identical to a sim run at the same seed. Like the spout, the
+      // rate is read at the previous arrival and the tuple is stamped with
+      // its own arrival time (latency includes any backlog).
+      const double rate = src.rate_fn(due) / executors;
       const SimDuration gap =
           rate <= 1e-9 ? Millis(100)
                        : static_cast<SimDuration>(
                              s->rng.NextExponential(1e9 / rate));
-      if (!SourceWaitUntil(s, backend_->now() + gap)) break;
+      due += gap;
+      if (!SourceWaitUntil(s, due)) break;
     }
-    Tuple t = src.factory(&s->rng, backend_->now());
-    t.created_at = backend_->now();
+    const SimTime at = trace ? due : backend_->now();
+    Tuple t = src.factory(&s->rng, at);
+    t.created_at = at;
     ++s->generated;
     s->pub_generated.store(s->generated, std::memory_order_relaxed);
     bool ok = true;
     for (auto& port : s->ports) ok = EmitTo(s, &port, t) && ok;
     if (!ok) break;  // Channels aborted.
-    // Trace arrivals are paced (ms-scale gaps): deliver each one promptly
-    // instead of letting it age in a partial batch.
-    if (trace) FlushPorts(&s->ports);
   }
   CloseProducerPorts(s);
   live_threads_.fetch_sub(1, std::memory_order_release);

@@ -11,7 +11,10 @@
 //   MPSC channels (exec/mpsc_channel.h) — the native incarnation of the
 //   simulated data path's channel micro-batching; bounded channels give the
 //   same back-pressure-to-the-sources behavior as the simulator's admission
-//   reservations.
+//   reservations. Batching is drain-clocked: a producer pushes its partial
+//   batch when it reaches batch_tuples or when the destination's channel
+//   is drained, so batches are full under load and near-single tuples when
+//   the consumer keeps up.
 // * Keys route through the same OperatorPartition hash as the simulator, and
 //   per-tuple semantics go through the same ApplyOperatorLogic, so per-key
 //   results are identical to a sim run over the same tuple multiset (the
@@ -458,7 +461,8 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   bool MigrationsPending() const;
 
   /// Routes one tuple into the port's partial batch for its destination
-  /// worker, pushing the batch when full. Returns false iff the channel was
+  /// worker, pushing the batch when it is full or the destination channel
+  /// is drained (MpscChannel::drained). Returns false iff the channel was
   /// aborted (emergency teardown). Re-syncs the producer's ports when the
   /// routing table names a grown worker this producer has not seen yet.
   bool EmitTo(Producer* p, ProducerPort* port, const Tuple& t);
@@ -486,7 +490,9 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   };
   void CollectLabelDuties(Producer* p, std::vector<LabelDuty>* duties);
   /// Trace pacing: sleeps until backend time `target` via a backend timer
-  /// (falls back to 1 ms polling). False when stopped meanwhile.
+  /// (falls back to 1 ms polling), flushing the source's partial batches
+  /// first. Returns at once when `target` has passed. False when stopped
+  /// meanwhile.
   bool SourceWaitUntil(Source* s, SimTime target);
 
   int WorkerCount(OperatorId op) const;

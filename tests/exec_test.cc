@@ -7,18 +7,23 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "engine/engine.h"
 #include "engine/engine_config.h"
 #include "exec/batch_pool.h"
 #include "exec/cpu_affinity.h"
 #include "exec/label_barrier.h"
 #include "exec/mpsc_channel.h"
 #include "exec/native_backend.h"
+#include "exec/native_runtime.h"
 #include "exec/sim_backend.h"
 #include "exec/telemetry.h"
 #include "sim/event_fn.h"
+#include "workload/micro.h"
 
 namespace elasticutor {
 namespace {
@@ -233,6 +238,52 @@ TEST(MpscChannelTest, AbortUnblocksFullChannelProducer) {
   ch.Abort();
   producer.join();
   EXPECT_FALSE(push_result.load());  // Aborted push reports failure.
+}
+
+TEST(MpscChannelTest, DrainedHintTracksTheRing) {
+  MpscChannel ch(/*capacity=*/4, /*producers=*/1);
+  TupleBatchStorage a, b;
+  EXPECT_TRUE(ch.drained());  // Nothing ever pushed.
+  ASSERT_TRUE(ch.Push(&a));
+  EXPECT_FALSE(ch.drained());
+  ASSERT_TRUE(ch.Push(&b));
+  EXPECT_EQ(ch.TryPop(), &a);
+  EXPECT_FALSE(ch.drained());  // One batch still queued.
+  EXPECT_EQ(ch.TryPop(), &b);
+  EXPECT_TRUE(ch.drained());
+  EXPECT_EQ(ch.TryPop(), nullptr);
+  EXPECT_TRUE(ch.drained());
+
+  // A consumer parked in a blocking Pop: drained until the push lands, and
+  // drained again once the push was taken.
+  TupleBatchStorage* popped = nullptr;
+  std::thread consumer([&] { popped = ch.Pop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(ch.drained());
+  ASSERT_TRUE(ch.Push(&a));
+  consumer.join();
+  EXPECT_EQ(popped, &a);
+  EXPECT_TRUE(ch.drained());
+
+  // A Kick wakes the consumer without changing the hint either way.
+  ch.Kick();
+  EXPECT_TRUE(ch.drained());
+  EXPECT_EQ(ch.Pop(), nullptr);  // The kick's spurious wake-up.
+  ASSERT_TRUE(ch.Push(&a));
+  ch.Kick();
+  EXPECT_FALSE(ch.drained());
+  EXPECT_EQ(ch.Pop(), &a);
+  EXPECT_TRUE(ch.drained());
+
+  // Abort raises the hint even over a non-empty ring, so a batching
+  // producer pushes at once and learns of the teardown; it stays raised.
+  ASSERT_TRUE(ch.Push(&b));
+  EXPECT_FALSE(ch.drained());
+  ch.Abort();
+  EXPECT_TRUE(ch.drained());
+  EXPECT_FALSE(ch.Push(&a));
+  EXPECT_EQ(ch.Pop(), &b);  // Queued batches still drain after an abort.
+  EXPECT_TRUE(ch.drained());
 }
 
 // ---------------------------------------------------------------------------
@@ -559,6 +610,98 @@ TEST(CpuAffinityTest, PinThreadToCpuMatchesSupportClaim) {
   EXPECT_FALSE(exec::PinThreadToCpu(&t, 1 << 20));
   stop.store(true);
   t.join();
+}
+
+// ---------------------------------------------------------------------------
+// NativeRuntime data path: drain-clocked batching and trace-mode pacing.
+// ---------------------------------------------------------------------------
+
+constexpr double kTraceRate = 20000.0;  // Tuples/s of a trace-mode source.
+
+// Micro topology (one generator, two calculator workers) on the native
+// backend with full-size 64-tuple batches.
+MicroWorkload NativeMicro(SourceSpec::Mode mode) {
+  MicroOptions options;
+  options.num_keys = 64;
+  options.generator_executors = 1;
+  options.calculator_executors = 2;
+  options.shards_per_executor = 4;
+  options.mode = mode;
+  options.trace_rate_per_sec = kTraceRate;
+  return BuildMicroWorkload(options, /*seed=*/5).value();
+}
+
+EngineConfig NativeMicroConfig() {
+  EngineConfig config;  // Default paradigm: elastic.
+  config.backend = exec::BackendKind::kNative;
+  config.num_nodes = 1;
+  config.native.workers_per_operator = 2;
+  config.native.data_path.batch_tuples = 64;
+  return config;
+}
+
+TEST(NativeDataPathTest, LockstepSourceIsNotHeldBackByBatching) {
+  // The source makes tuple i+1 only after the sink processed tuple i, so at
+  // most one tuple is ever in flight. A producer that pushes only full
+  // batches would keep tuple i in its partial batch forever (the source
+  // never idles from the runtime's view); a drain-clocked producer pushes
+  // it because the destination's channel is drained. The wait is bounded
+  // so a regression fails instead of hanging.
+  constexpr int64_t kTuples = 300;
+  struct Lockstep {
+    std::atomic<int64_t> processed{0};
+    std::atomic<bool> timed_out{false};
+    int64_t made = 0;  // Source thread only.
+  };
+  auto lockstep = std::make_shared<Lockstep>();
+  MicroWorkload wl = NativeMicro(SourceSpec::Mode::kSaturation);
+  OperatorSpec& gen = wl.topology.mutable_spec(wl.generator);
+  gen.source.max_tuples = kTuples;
+  gen.source.factory = [lockstep](Rng*, SimTime) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (lockstep->processed.load() < lockstep->made &&
+           !lockstep->timed_out.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        lockstep->timed_out.store(true);  // Later tuples stop waiting.
+      }
+      std::this_thread::yield();
+    }
+    Tuple t;
+    t.key = static_cast<uint64_t>(lockstep->made++);
+    return t;
+  };
+  OperatorSpec& calc = wl.topology.mutable_spec(wl.calculator);
+  calc.logic = [lockstep](const Tuple&, StateAccessor&, EmitContext*) {
+    lockstep->processed.fetch_add(1);
+  };
+  Engine engine(std::move(wl.topology), NativeMicroConfig());
+  ASSERT_TRUE(engine.Setup().ok());
+  engine.Start();
+  engine.RunToCompletion();
+  EXPECT_FALSE(lockstep->timed_out.load())
+      << "a tuple waited in a partial batch for its successors";
+  EXPECT_EQ(lockstep->processed.load(), kTuples);
+}
+
+TEST(NativeDataPathTest, TraceSourceKeepsItsAskedRate) {
+  // The pacer runs on a cumulative schedule, so timer and condvar
+  // overshoot on each wake-up does not add up into a lower rate.
+  MicroWorkload wl = NativeMicro(SourceSpec::Mode::kTrace);
+  Engine engine(std::move(wl.topology), NativeMicroConfig());
+  ASSERT_TRUE(engine.Setup().ok());
+  const SimTime start = engine.exec()->now();
+  engine.Start();
+  engine.RunFor(Millis(500));
+  const int64_t emitted = engine.native()->SampleTelemetry().source_emitted;
+  const double seconds = ToSeconds(engine.exec()->now() - start);
+  engine.StopSources();
+  engine.RunToCompletion();
+  const double achieved = static_cast<double>(emitted) / seconds;
+  EXPECT_GE(achieved, 0.8 * kTraceRate);
+  EXPECT_LE(achieved, 1.2 * kTraceRate);
+  const exec::TelemetrySnapshot drained = engine.native()->SampleTelemetry();
+  EXPECT_EQ(drained.sink_count, drained.source_emitted);
 }
 
 TEST(ExecutionBackendTest, UnboundResourcePlaneYieldsEmptySnapshot) {
