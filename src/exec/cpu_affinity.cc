@@ -42,6 +42,18 @@ int PackageOf(int cpu) {
 
 }  // namespace
 
+int AllowedCpuCount() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return n;
+  }
+#endif
+  return OnlineCpuCount();
+}
+
 CpuTopology CpuTopology::Detect(bool numa_aware) {
   CpuTopology topo;
   const int n = OnlineCpuCount();

@@ -27,6 +27,10 @@ struct CpuTopology {
   static CpuTopology Detect(bool numa_aware);
 };
 
+/// CPUs the calling thread may run on (its sched_getaffinity mask, which
+/// threads it creates inherit); the online CPU count where no mask exists.
+int AllowedCpuCount();
+
 /// True when this build can actually pin (Linux + pthreads).
 bool PinningSupported();
 

@@ -18,6 +18,11 @@ namespace {
 constexpr int64_t kSpeedMinBusyNs = 200'000;
 constexpr double kSpeedAlpha = 0.4;
 constexpr double kSpeedRecovery = 0.2;
+
+/// True on a worker thread of any NativeRuntime. Once a worker exited, only
+/// the driver touches its store and maps, so a worker thread that must
+/// install a shard into an exited worker hands the install to the driver.
+thread_local bool tls_worker_thread = false;
 }  // namespace
 
 /// EmitContext of a native producer: routes each emission into the partial
@@ -170,7 +175,7 @@ Status NativeRuntime::Setup() {
       auto eo = std::make_unique<ElasticOp>();
       const int num_shards = part->num_shards();
       eo->owner = std::vector<std::atomic<int32_t>>(num_shards);
-      eo->held = std::vector<std::atomic<uint8_t>>(num_shards);
+      eo->held = std::vector<std::atomic<int32_t>>(num_shards);
       eo->processed = std::vector<std::atomic<int64_t>>(num_shards);
       eo->busy_ticks = std::vector<std::atomic<int64_t>>(num_shards);
       eo->balance_prev.assign(num_shards, 0);
@@ -178,7 +183,7 @@ Status NativeRuntime::Setup() {
       for (int s = 0; s < num_shards; ++s) {
         eo->owner[s].store(part->ExecutorOfShard(s),
                            std::memory_order_relaxed);
-        eo->held[s].store(0, std::memory_order_relaxed);
+        eo->held[s].store(-1, std::memory_order_relaxed);
         eo->processed[s].store(0, std::memory_order_relaxed);
         eo->busy_ticks[s].store(0, std::memory_order_relaxed);
       }
@@ -256,6 +261,19 @@ int NativeRuntime::NextPinCpu() {
   return cpu;
 }
 
+void NativeRuntime::UpdateSpinWaits() {
+  int workers = 0;
+  ForEachWorker([&workers](Worker* w) {
+    if (!w->retiring.load(std::memory_order_relaxed) && !w->exited) {
+      ++workers;
+    }
+  });
+  spin_waits_.store(
+      ThreadsFitCpus(live_sources_.load(std::memory_order_relaxed), workers,
+                     AllowedCpuCount()),
+      std::memory_order_relaxed);
+}
+
 int NativeRuntime::PackageOf(int cpu) const {
   for (size_t i = 0; i < pin_cpus_.size(); ++i) {
     if (pin_cpus_[i] == cpu) return pin_packages_[i];
@@ -278,6 +296,9 @@ void NativeRuntime::Start() {
   int threads = static_cast<int>(sources_.size());
   ForEachWorker([&threads](Worker*) { ++threads; });
   live_threads_.store(threads, std::memory_order_release);
+  live_sources_.store(static_cast<int>(sources_.size()),
+                      std::memory_order_relaxed);
+  UpdateSpinWaits();
   // Workers first so channels have their consumers before sources flood.
   // Pin in creation order: with a package-major CPU list one operator's
   // workers land on one socket before spilling to the next.
@@ -349,7 +370,7 @@ bool NativeRuntime::EmitTo(Producer* p, ProducerPort* port, const Tuple& t) {
     // Two-tier routing (paper §3.2): key -> shard by hash, shard -> worker
     // through the live routing table. The acquire pairs with the release
     // store in BeginLabeling: a producer that sees the new owner routes to
-    // a worker guaranteed to see `held` raised.
+    // a worker guaranteed to see `held` naming it.
     const ShardId shard = port->part->ShardOf(t.key);
     wi = static_cast<size_t>(elastic_ops_[port->to_op]->owner[shard].load(
         std::memory_order_acquire));
@@ -503,6 +524,7 @@ void NativeRuntime::SourceLoop(Source* s) {
     if (!ok) break;  // Channels aborted.
   }
   CloseProducerPorts(s);
+  live_sources_.fetch_sub(1, std::memory_order_relaxed);
   live_threads_.fetch_sub(1, std::memory_order_release);
 }
 
@@ -523,13 +545,14 @@ void NativeRuntime::ProcessTuple(Worker* w, const OperatorSpec& spec,
   ElasticOp* eo = nullptr;
   if (elastic_) {
     eo = elastic_ops_[w->op].get();
-    // Hold only as the *destination* of an in-flight move (held raised and
-    // the routing already points here). The old owner keeps processing the
-    // shard's pre-flip backlog while held is raised — that drain is what
-    // the labeling barrier waits for.
-    if (eo->held[shard].load(std::memory_order_acquire) != 0 &&
-        eo->owner[shard].load(std::memory_order_relaxed) ==
-            static_cast<int32_t>(w->index)) {
+    // Hold only as the *destination* of an in-flight move. The old owner
+    // keeps processing the shard's pre-flip backlog while the shard is
+    // held — that drain is what the labeling barrier waits for. One load
+    // decides: with separate loads of `held` and `owner`, an old owner
+    // could pair the new `held` with the old `owner` mid-flip and hold a
+    // tuple no install would ever replay.
+    if (eo->held[shard].load(std::memory_order_acquire) ==
+        static_cast<int32_t>(w->index)) {
       w->hold[shard].push_back(t);
       return;
     }
@@ -564,6 +587,7 @@ void NativeRuntime::PublishWorkerCounters(Worker* w) {
 }
 
 void NativeRuntime::WorkerLoop(Worker* w) {
+  tls_worker_thread = true;
   const OperatorSpec& spec = topology_->spec(w->op);
   for (;;) {
     if (elastic_) {
@@ -581,7 +605,7 @@ void NativeRuntime::WorkerLoop(Worker* w) {
       // blocking — downstream would starve behind our buffering.
       FlushPorts(&w->ports);
       PublishWorkerCounters(w);
-      batch = w->input->Pop();
+      batch = w->input->Pop(spin_waits_.load(std::memory_order_relaxed));
       if (batch == nullptr) {
         if (w->input->exhausted()) break;  // Producers closed, ring drained.
         continue;  // Kicked awake: revisit the control board.
@@ -834,6 +858,7 @@ Status NativeRuntime::GrowWorkers(OperatorId op, int n) {
       worker_count_[op].store(count + k + 1, std::memory_order_release);
       grown.push_back(raw);
     }
+    UpdateSpinWaits();
     ctrl_version_.fetch_add(1, std::memory_order_release);
   }
   ctrl_cv_.notify_all();
@@ -887,6 +912,7 @@ Status NativeRuntime::ShrinkWorkers(OperatorId op, int n) {
       retire_pump_armed_ = true;
       arm_pump = true;
     }
+    UpdateSpinWaits();
     ctrl_version_.fetch_add(1, std::memory_order_release);
   }
   ctrl_cv_.notify_all();
@@ -1064,12 +1090,13 @@ void NativeRuntime::BeginLabeling(int64_t label_id) {
     if (it == migrations_.end()) return;
     Migration* m = it->second.get();
     ElasticOp* eo = elastic_ops_[m->op].get();
-    // The flip: raise held first (relaxed), then publish the new owner
-    // with release. Producers acquire-load the owner; the channel mutex
-    // then carries the edge to the destination, whose acquire-load of
-    // held therefore cannot miss it for any tuple routed post-flip.
+    // The flip: name the destination in held first (relaxed), then
+    // publish the new owner with release. Producers acquire-load the
+    // owner; the channel mutex then carries the edge to the destination,
+    // whose acquire-load of held therefore cannot miss it for any tuple
+    // routed post-flip.
     m->flip_at = backend_->now();
-    eo->held[m->shard].store(1, std::memory_order_relaxed);
+    eo->held[m->shard].store(m->to, std::memory_order_relaxed);
     eo->owner[m->shard].store(m->to, std::memory_order_release);
     m->barrier_armed = barrier_.Arm(label_id, eo->open_producers);
     if (m->barrier_armed) {
@@ -1154,7 +1181,7 @@ void NativeRuntime::MigrationReady(int64_t label_id) {
     m->phase = MigPhase::kReady;
     Worker* dst = worker_at(m->op, m->to);
     if (dst->exited) {
-      exited_dst = dst;  // Quiescent: install from this thread.
+      exited_dst = dst;  // Quiescent: no thread of its own to install.
     } else {
       dst_channel = dst->input.get();
     }
@@ -1162,7 +1189,18 @@ void NativeRuntime::MigrationReady(int64_t label_id) {
   }
   ctrl_cv_.notify_all();
   if (dst_channel != nullptr) dst_channel->Kick();
-  if (exited_dst != nullptr) InstallMigratedShard(exited_dst, label_id);
+  if (exited_dst == nullptr) return;
+  if (tls_worker_thread) {
+    // A live old owner finalized into an exited destination. The driver
+    // may be draining or installing another shard of that same worker
+    // right now, so the install runs on the driver too (WaitDrained pumps
+    // the backend while the migration is pending).
+    backend_->After(0, [this, exited_dst, label_id] {
+      InstallMigratedShard(exited_dst, label_id);
+    });
+  } else {
+    InstallMigratedShard(exited_dst, label_id);
+  }
 }
 
 void NativeRuntime::InstallMigratedShard(Worker* w, int64_t label_id) {
@@ -1189,9 +1227,9 @@ void NativeRuntime::InstallMigratedShard(Worker* w, int64_t label_id) {
     replay = std::move(hold->second);
     w->hold.erase(hold);
   }
-  // Lower held before replaying: ProcessTuple must not re-hold, and new
+  // Clear held before replaying: ProcessTuple must not re-hold, and new
   // arrivals may interleave behind the replay in channel order.
-  elastic_ops_[m->op]->held[m->shard].store(0, std::memory_order_release);
+  elastic_ops_[m->op]->held[m->shard].store(-1, std::memory_order_release);
   const OperatorSpec& spec = topology_->spec(w->op);
   for (const Tuple& t : replay) ProcessTuple(w, spec, t);
   PublishWorkerCounters(w);

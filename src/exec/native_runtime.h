@@ -42,8 +42,8 @@
 //                     worker keeps processing the shard; a DirtyTracker
 //                     records what changes meanwhile.
 //   3. kLabeling    — pre-copy done: `owner[shard]` flips to the
-//                     destination (release store) and `held[shard]` is
-//                     raised; a labeling command is published and every
+//                     destination (release store) and `held[shard]`
+//                     names it; a labeling command is published and every
 //                     producer that feeds this operator pushes one label
 //                     marker into the *old* owner's channel, behind
 //                     everything it already routed there (the in-channel
@@ -57,21 +57,22 @@
 //                     rate is set).
 //   6. kReady       — the destination worker is kicked, installs the shard
 //                     into its own store, replays the held tuples in
-//                     arrival order, and lowers `held`. No tuple is lost,
+//                     arrival order, and clears `held`. No tuple is lost,
 //                     duplicated, or reordered within its (producer, key)
 //                     stream — native_elastic_stress_test pins this down
 //                     under TSan.
 //
-// Memory-ordering contract of the routing flip: the publisher raises
-// `held` (relaxed) before flipping `owner` (release); producers load
-// `owner` (acquire) and the destination loads `held` (acquire) before
-// consulting `owner`. A producer that observes the new owner therefore
-// routes to a worker that is guaranteed to observe `held` for any tuple it
-// receives from that producer (the channel's internal mutex provides the
-// edge between producer and consumer), so the destination can never
-// process a post-flip tuple before the state arrives. The old owner keeps
-// processing the shard while `owner != my_index` tuples drain — the hold
-// test is `held && owner == my_index`, destination-only on purpose.
+// Memory-ordering contract of the routing flip: the publisher stores the
+// destination's index into `held` (relaxed) before flipping `owner`
+// (release); producers load `owner` (acquire) and every worker loads
+// `held` (acquire). A producer that observes the new owner therefore
+// routes to a worker that is guaranteed to observe `held == my_index` for
+// any tuple it receives from that producer (the channel's internal mutex
+// provides the edge between producer and consumer), so the destination
+// can never process a post-flip tuple before the state arrives. The old
+// owner keeps processing the shard's pre-flip tuples: the hold test is the
+// single load `held == my_index`, destination-only on purpose (a second
+// load of `owner` could pair a new `held` with an old `owner`).
 //
 // Resource-control plane (exec/telemetry.h + exec/worker_pool.h; the
 // runtime implements both and Engine binds them to the backend):
@@ -152,6 +153,15 @@
 
 namespace elasticutor {
 namespace exec {
+
+/// The rule for spinning channel waits (exec/mpsc_channel.h): a worker may
+/// poll its channel before it parks only while every thread of the runtime
+/// (live sources, live workers and the driver) can have a CPU to itself.
+/// Oversubscribed, a spinning worker would steal the CPU from the very
+/// producer it waits for.
+inline bool ThreadsFitCpus(int sources, int workers, int cpus) {
+  return sources + workers + /*driver=*/1 <= cpus;
+}
 
 class NativeRuntime : public TelemetrySource, public WorkerPool {
  public:
@@ -237,6 +247,11 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// order validator (validate_key_order; always 0 unless the routing
   /// protocol is broken).
   int64_t order_violations() const;
+  /// True while idle workers spin before they park (ThreadsFitCpus held
+  /// at the last Start/GrowWorkers/ShrinkWorkers).
+  bool spin_waits() const {
+    return spin_waits_.load(std::memory_order_relaxed);
+  }
   /// Channel-contention counters summed over all worker inputs.
   int64_t push_blocks() const;
   int64_t pop_waits() const;
@@ -349,7 +364,9 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   /// under ctrl_mu_.
   struct ElasticOp {
     std::vector<std::atomic<int32_t>> owner;    // Shard -> worker index.
-    std::vector<std::atomic<uint8_t>> held;     // Shard state in flight.
+    /// Shard -> destination holding its post-flip tuples while the
+    /// shard's state is in flight (-1 = none).
+    std::vector<std::atomic<int32_t>> held;
     std::vector<std::atomic<int64_t>> processed;   // Per-shard tuple counts.
     std::vector<std::atomic<int64_t>> busy_ticks;  // Per-shard wall-busy.
     // Driver-local balance snapshots (sized to the slot reservation).
@@ -498,6 +515,10 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   int WorkerCount(OperatorId op) const;
   /// Worker-slot reservation of `op` (>= the initial worker count).
   int MaxSlots(OperatorId op) const;
+  /// Re-evaluates ThreadsFitCpus for the current thread set (live sources,
+  /// workers neither retiring nor exited) against the CPUs this thread may
+  /// use. Caller holds ctrl_mu_ or is in single-threaded Start.
+  void UpdateSpinWaits();
   /// Live worker of `op` at `index` (< num_workers(op)).
   Worker* worker_at(OperatorId op, int index) const {
     return workers_[op][index].get();
@@ -570,6 +591,10 @@ class NativeRuntime : public TelemetrySource, public WorkerPool {
   size_t next_pin_ = 0;
 
   std::atomic<int> live_threads_{0};
+  /// Source threads still running (each decrements once on exit).
+  std::atomic<int> live_sources_{0};
+  /// UpdateSpinWaits' verdict, read relaxed by idle workers.
+  std::atomic<bool> spin_waits_{false};
   std::atomic<bool> stop_sources_{false};
   bool setup_done_ = false;
   bool started_ = false;

@@ -5,12 +5,17 @@
 // native_equivalence_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "engine/engine.h"
 #include "engine/engine_config.h"
@@ -284,6 +289,135 @@ TEST(MpscChannelTest, DrainedHintTracksTheRing) {
   EXPECT_FALSE(ch.Push(&a));
   EXPECT_EQ(ch.Pop(), &b);  // Queued batches still drain after an abort.
   EXPECT_TRUE(ch.drained());
+}
+
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kSanitized = true;  // Instrumented handoffs take ~10-30 us.
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// Runs `signal` on the calling thread once a consumer thread is about to
+// enter Pop(/*spin=*/true) on `ch`; returns how long that Pop took and what
+// it returned.
+struct SpinPopResult {
+  std::chrono::nanoseconds took{0};
+  TupleBatchStorage* popped = nullptr;
+};
+template <typename Signal>
+SpinPopResult SignalSpinningPop(MpscChannel* ch, Signal signal) {
+  std::atomic<bool> entered{false};
+  SpinPopResult r;
+  std::thread consumer([&] {
+    entered.store(true);
+    const auto t0 = std::chrono::steady_clock::now();
+    r.popped = ch->Pop(/*spin=*/true);
+    r.took = std::chrono::steady_clock::now() - t0;
+  });
+  while (!entered.load()) {
+  }
+  signal();
+  consumer.join();
+  return r;
+}
+
+TEST(MpscChannelTest, PushDuringSpinIsTakenWithoutParking) {
+  if (exec::AllowedCpuCount() < 2) {
+    GTEST_SKIP() << "a spinning consumer and a producer need two CPUs";
+  }
+  // The push lands a few microseconds after the consumer entered Pop: long
+  // after a consumer that does not spin would have parked, well within the
+  // spin bound. The batch is returned and the Pop is not a park. The
+  // pushing thread may itself be descheduled past the bound on a busy
+  // host, so the claim is a share of the rounds; every round must still
+  // return the batch.
+  constexpr int kRounds = 40;
+  const auto delay = std::chrono::nanoseconds(MpscChannel::kPopSpinNs / 4);
+  int unparked = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    MpscChannel ch(/*capacity=*/2, /*producers=*/1);
+    TupleBatchStorage batch;
+    const SpinPopResult r = SignalSpinningPop(&ch, [&] {
+      const auto at = std::chrono::steady_clock::now() + delay;
+      while (std::chrono::steady_clock::now() < at) {
+      }
+      ASSERT_TRUE(ch.Push(&batch));
+    });
+    EXPECT_EQ(r.popped, &batch);
+    if (ch.pop_waits() == 0) ++unparked;
+    ch.CloseProducer();
+  }
+  EXPECT_GE(unparked, kSanitized ? 1 : kRounds / 4);
+}
+
+TEST(MpscChannelTest, KickCloseAndAbortEndASpinningPop) {
+  // Each of the three wait-ending calls rewrites the word the spinner
+  // polls, so the Pop ends at once rather than after the spin bound: the
+  // fastest round is well under kPopSpinNs (a spinner that missed the
+  // signal would take at least the whole bound; checked only in
+  // uninstrumented builds), and the median round is well within 5 ms (a
+  // single round may meet a descheduled vCPU on a shared host).
+  constexpr int kRounds = 21;
+  const auto bound = std::chrono::nanoseconds(MpscChannel::kPopSpinNs);
+  enum Signal { kKick, kClose, kAbort };
+  for (Signal which : {kKick, kClose, kAbort}) {
+    std::vector<std::chrono::nanoseconds> took;
+    for (int i = 0; i < kRounds; ++i) {
+      MpscChannel ch(/*capacity=*/2, /*producers=*/1);
+      const SpinPopResult r = SignalSpinningPop(&ch, [&] {
+        if (which == kKick) ch.Kick();
+        if (which == kClose) ch.CloseProducer();
+        if (which == kAbort) ch.Abort();
+      });
+      EXPECT_EQ(r.popped, nullptr);
+      took.push_back(r.took);
+      if (which == kKick) {
+        EXPECT_FALSE(ch.exhausted());
+        ch.CloseProducer();
+      }
+      EXPECT_TRUE(ch.exhausted());
+    }
+    std::sort(took.begin(), took.end());
+    EXPECT_LT(took[kRounds / 2], std::chrono::milliseconds(5))
+        << "signal " << which;
+    if (!kSanitized && exec::AllowedCpuCount() >= 2) {
+      EXPECT_LT(took.front(), bound / 2) << "signal " << which;
+    }
+  }
+}
+
+TEST(MpscChannelTest, BlockedProducerWakesAtLowWaterNotOnEveryPop) {
+  // Capacity 4: a producer parked on the full ring stays parked while the
+  // ring holds 3 and is woken by the pop that leaves 2. Its batch (here a
+  // label marker, as PushLabel sends) still lands behind every earlier
+  // batch.
+  MpscChannel ch(/*capacity=*/4, /*producers=*/1);
+  std::array<TupleBatchStorage, 4> data;
+  for (auto& b : data) ASSERT_TRUE(ch.Push(&b));
+  TupleBatchStorage marker;
+  marker.label_id = 7;
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(ch.Push(&marker));
+    pushed.store(true);
+  });
+  while (ch.push_blocks() == 0) std::this_thread::yield();
+  EXPECT_EQ(ch.Pop(), &data[0]);  // 3 left: above the low-water mark.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(pushed.load()) << "woken above the low-water mark";
+  EXPECT_EQ(ch.Pop(), &data[1]);  // 2 left: the low-water mark.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pushed.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(pushed.load()) << "not woken at the low-water mark";
+  producer.join();
+  EXPECT_EQ(ch.push_blocks(), 1);
+  EXPECT_EQ(ch.Pop(), &data[2]);
+  EXPECT_EQ(ch.Pop(), &data[3]);
+  EXPECT_EQ(ch.Pop(), &marker);
+  ch.CloseProducer();
 }
 
 // ---------------------------------------------------------------------------
@@ -569,7 +703,7 @@ TEST(CycleClockTest, TicksAdvanceAndConvertToPlausibleNs) {
   const uint64_t t0 = exec::CycleClock::Now();
   // Busy-wait a hair so even a coarse fallback clock moves.
   volatile uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   const uint64_t t1 = exec::CycleClock::Now();
   EXPECT_GT(t1, t0);
   EXPECT_GT(exec::CycleClock::NsPerTick(), 0.0);
@@ -703,6 +837,83 @@ TEST(NativeDataPathTest, TraceSourceKeepsItsAskedRate) {
   const exec::TelemetrySnapshot drained = engine.native()->SampleTelemetry();
   EXPECT_EQ(drained.sink_count, drained.source_emitted);
 }
+
+TEST(NativeDataPathTest, ThreadsFitCpusRule) {
+  // Sources + workers + the driver against the allowed CPUs.
+  EXPECT_TRUE(exec::ThreadsFitCpus(/*sources=*/1, /*workers=*/1, 4));
+  EXPECT_TRUE(exec::ThreadsFitCpus(1, 2, 4));  // Exact fit.
+  EXPECT_FALSE(exec::ThreadsFitCpus(1, 3, 4));
+  EXPECT_FALSE(exec::ThreadsFitCpus(1, 8, 4));  // Oversubscribed.
+  EXPECT_FALSE(exec::ThreadsFitCpus(0, 0, 0));
+}
+
+#if defined(__linux__)
+// Restricts the calling thread (and the threads it creates) to its first
+// `n` allowed CPUs for the scope; ok() is false when fewer are allowed.
+class ScopedCpuLimit {
+ public:
+  explicit ScopedCpuLimit(int n) {
+    CPU_ZERO(&saved_);
+    if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    cpu_set_t limited;
+    CPU_ZERO(&limited);
+    int taken = 0;
+    for (int cpu = 0; cpu < CPU_SETSIZE && taken < n; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &limited);
+        ++taken;
+      }
+    }
+    ok_ = taken == n && sched_setaffinity(0, sizeof(limited), &limited) == 0;
+  }
+  ~ScopedCpuLimit() {
+    if (ok_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
+
+TEST(NativeDataPathTest, OversubscribedRuntimeNeverSpins) {
+  // One source and two workers plus the driver need four CPUs.
+  ScopedCpuLimit one_cpu(1);
+  ASSERT_TRUE(one_cpu.ok());
+  MicroWorkload wl = NativeMicro(SourceSpec::Mode::kSaturation);
+  wl.topology.mutable_spec(wl.generator).source.max_tuples = 20000;
+  Engine engine(std::move(wl.topology), NativeMicroConfig());
+  ASSERT_TRUE(engine.Setup().ok());
+  engine.Start();
+  EXPECT_FALSE(engine.native()->spin_waits());
+  engine.RunToCompletion();
+  EXPECT_FALSE(engine.native()->spin_waits());
+  const exec::TelemetrySnapshot done = engine.native()->SampleTelemetry();
+  EXPECT_EQ(done.sink_count, 20000);
+}
+
+TEST(NativeDataPathTest, SpinRuleFollowsGrowAndShrink) {
+  ScopedCpuLimit four_cpus(4);
+  if (!four_cpus.ok()) GTEST_SKIP() << "needs four allowed CPUs";
+  MicroWorkload wl = NativeMicro(SourceSpec::Mode::kSaturation);
+  const OperatorId calc = wl.calculator;
+  EngineConfig config = NativeMicroConfig();
+  config.native.max_workers_per_operator = 3;
+  Engine engine(std::move(wl.topology), config);
+  ASSERT_TRUE(engine.Setup().ok());
+  engine.Start();
+  exec::NativeRuntime* native = engine.native();
+  EXPECT_TRUE(native->spin_waits());  // 1 + 2 + driver = 4: exact fit.
+  ASSERT_TRUE(native->GrowWorkers(calc, 1).ok());
+  EXPECT_FALSE(native->spin_waits());  // 5 threads on 4 CPUs.
+  ASSERT_TRUE(native->ShrinkWorkers(calc, 1).ok());
+  EXPECT_TRUE(native->spin_waits());  // The retiring worker is not counted.
+  engine.StopSources();
+  engine.RunToCompletion();
+  const exec::TelemetrySnapshot done = native->SampleTelemetry();
+  EXPECT_EQ(done.sink_count, done.source_emitted);
+}
+#endif  // __linux__
 
 TEST(ExecutionBackendTest, UnboundResourcePlaneYieldsEmptySnapshot) {
   NativeBackend backend;
